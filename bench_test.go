@@ -27,11 +27,9 @@ import (
 	"flag"
 	"runtime"
 	"testing"
-	"time"
 
 	"github.com/moatlab/melody/internal/melody"
 	"github.com/moatlab/melody/internal/obs"
-	"github.com/moatlab/melody/internal/obs/hostprof"
 )
 
 var full = flag.Bool("full", false, "run figures over the full 265-workload catalog")
@@ -111,32 +109,6 @@ func BenchmarkSweep48J1(b *testing.B)           { benchmarkSweep(b, 1, false, 0)
 func BenchmarkSweep48JMax(b *testing.B)         { benchmarkSweep(b, runtime.NumCPU(), false, 0) }
 func BenchmarkSweep48JMaxMetrics(b *testing.B)  { benchmarkSweep(b, runtime.NumCPU(), true, 0) }
 func BenchmarkSweep48JMaxSampling(b *testing.B) { benchmarkSweep(b, runtime.NumCPU(), true, 20_000) }
-
-// BenchmarkSweep48JMaxHostprof runs the observed sweep with the
-// continuous host profiler live at an aggressive 1s cadence (CPU
-// windows plus heap/goroutine/mutex/block snapshots every round), so
-// Sweep48JMaxMetrics vs Sweep48JMaxHostprof bounds the profiling
-// overhead. The mutex/block rates are raised only inside capture
-// windows and restored after, so the steady-state cost is the CPU
-// sampling window itself — expect low single-digit percent even at
-// this cadence, and nothing at all at the default 60s interval.
-func BenchmarkSweep48JMaxHostprof(b *testing.B) {
-	p := hostprof.New(hostprof.Config{
-		Interval:    time.Second,
-		CPUDuration: 250 * time.Millisecond,
-		Registry:    obs.NewRegistry(),
-		Watchdog:    hostprof.WatchdogConfig{Disabled: true},
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { p.Run(ctx); close(done) }()
-	benchmarkSweep(b, runtime.NumCPU(), true, 0)
-	cancel()
-	<-done
-	if p.Store().Len() == 0 {
-		b.Fatal("profiler captured nothing during the sweep")
-	}
-}
 
 func BenchmarkTable1(b *testing.B)    { runExperiment(b, "table1") }
 func BenchmarkTable2(b *testing.B)    { runExperiment(b, "table2") }

@@ -6,7 +6,7 @@
 //	melody list
 //	melody run <experiment-id>... [flags]
 //	melody run all [flags]
-//	melody serve [-addr HOST:PORT] [-queue N] [-data-dir DIR] [-prof-interval D] [-pprof ADDR]
+//	melody serve [-addr HOST:PORT] [-queue N] [-data-dir DIR] [-debug-pprof] [-pprof ADDR]
 //
 // `melody run` executes one spec and exits; `melody serve` is the
 // long-lived experiment front door: it serves the observatory plus the
@@ -58,15 +58,9 @@
 //	                  with `go tool pprof -top DIR/<id>.pb.gz`
 //	-pprof ADDR       serve net/http/pprof on ADDR (e.g. localhost:6060).
 //	                  This profiles the simulator's *host* time; use
-//	                  -profile for *simulated* time
-//	-prof-interval D  continuous host profiling (requires -serve): capture
-//	                  CPU/heap/goroutine/mutex/block profiles every D
-//	                  (e.g. 30s) into a bounded in-memory store, queryable
-//	                  at GET /profiles on the observatory and downloadable
-//	                  per id as .pb.gz for `go tool pprof`. CPU samples
-//	                  carry pprof labels (spec_hash, experiment), and the
-//	                  anomaly watchdog fires tagged captures on goroutine
-//	                  spikes, sustained heap growth, and GC-pause outliers
+//	                  -profile for *simulated* time. CPU samples carry
+//	                  pprof labels (spec_hash, experiment), so
+//	                  `go tool pprof -tagfocus` slices a capture by run
 //	-serve ADDR       serve the live run observatory on ADDR:
 //	                  GET /metrics   Prometheus text exposition of the
 //	                                 telemetry registry (plus the
@@ -167,7 +161,6 @@ func runCmd(args []string) int {
 	profileDir := fs.String("profile", "", "write per-experiment simulated-time pprof profiles to <dir>")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on <addr> (e.g. localhost:6060)")
 	serveAddr := fs.String("serve", "", "serve the live observatory (/metrics /progress /events /healthz) on <addr>")
-	profEvery := fs.Duration("prof-interval", 0, "continuous host profiling cadence (requires -serve; captures queryable at /profiles)")
 	logLevel := fs.String("log-level", "warn", "structured log level on stderr: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "structured log format on stderr: text or json")
 
@@ -212,14 +205,6 @@ func runCmd(args []string) int {
 			return 2
 		}
 		defer led.Close()
-	}
-	if *profEvery != 0 && *serveAddr == "" {
-		fmt.Fprintln(os.Stderr, "melody: -prof-interval requires -serve (captures are served at /profiles on the observatory)")
-		return 2
-	}
-	if *profEvery < 0 {
-		fmt.Fprintln(os.Stderr, "melody: -prof-interval must be positive")
-		return 2
 	}
 
 	// The -pprof debug server profiles the simulator process itself
@@ -279,7 +264,7 @@ func runCmd(args []string) int {
 	// change results or the manifest.
 	var obsv *observatory
 	if *serveAddr != "" {
-		obsv, err = startObservatory(*serveAddr, tel, ids, logger, *profEvery)
+		obsv, err = startObservatory(*serveAddr, tel, ids, logger)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "melody: serve:", err)
 			return 2

@@ -8,37 +8,29 @@ package main
 // TestServeDoesNotPerturbManifest.
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"os"
 	"time"
 
 	"github.com/moatlab/melody/internal/melody"
-	"github.com/moatlab/melody/internal/obs/hostprof"
 	"github.com/moatlab/melody/internal/obs/serve"
 )
 
 // observatory bundles the run's live-view state. A nil *observatory is
 // a no-op on every method, so the engine loop calls it unconditionally.
 type observatory struct {
-	status   *melody.RunStatus
-	hub      *serve.Hub
-	run      *serve.Running
-	start    time.Time
-	stopProf context.CancelFunc
-	profDone chan struct{}
+	status *melody.RunStatus
+	hub    *serve.Hub
+	run    *serve.Running
+	start  time.Time
 }
 
 // startObservatory declares the run plan on a fresh status board and
 // starts the observatory server on addr. Listen errors surface
 // synchronously — a bad -serve address fails before the run starts.
 // log receives the server's access/panic/listener lines (nil = silent).
-// profEvery > 0 attaches the continuous host profiler at that cadence:
-// captures land in an in-memory store queryable at /profiles, recorded
-// against the observatory self-registry so the engine registry — and
-// therefore the manifest — never sees the profiler.
-func startObservatory(addr string, tel *melody.Telemetry, ids []string, log *slog.Logger, profEvery time.Duration) (*observatory, error) {
+func startObservatory(addr string, tel *melody.Telemetry, ids []string, log *slog.Logger) (*observatory, error) {
 	status := melody.NewRunStatus(tel)
 	titles := make([]string, len(ids))
 	for i, id := range ids {
@@ -56,26 +48,11 @@ func startObservatory(addr string, tel *melody.Telemetry, ids []string, log *slo
 		// beside the engine (pid 1) and worker (pid 2) tracks.
 		srv.Tracer().SetMirror(tel.Trace, 3)
 	}
-	var prof *hostprof.Profiler
-	if profEvery > 0 {
-		prof = hostprof.New(hostprof.Config{
-			Interval: profEvery,
-			Registry: srv.SelfRegistry(),
-			Log:      log,
-		})
-		srv.AttachProfiler(prof)
-	}
 	run, err := srv.Start(addr)
 	if err != nil {
 		return nil, err
 	}
 	o := &observatory{status: status, hub: srv.Hub(), run: run, start: time.Now()}
-	if prof != nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		o.stopProf = cancel
-		o.profDone = make(chan struct{})
-		go func() { prof.Run(ctx); close(o.profDone) }()
-	}
 	fmt.Fprintf(os.Stderr, "melody: observatory on http://%s/ (/metrics /progress /events /healthz)\n", run.Addr())
 	return o, nil
 }
@@ -121,15 +98,10 @@ func (o *observatory) finish(interrupted bool) {
 	o.hub.Publish(serve.Event{Type: serve.EventRunEnd, AtMs: o.atMs(), Interrupted: interrupted})
 }
 
-// close stops the profiler loop (waiting for an in-flight capture
-// window to drain) and shuts the HTTP server down.
+// close shuts the HTTP server down.
 func (o *observatory) close() {
 	if o == nil {
 		return
-	}
-	if o.stopProf != nil {
-		o.stopProf()
-		<-o.profDone
 	}
 	if o.run != nil {
 		o.run.Close()

@@ -5,12 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/moatlab/melody/internal/melody"
 	"github.com/moatlab/melody/internal/obs/serve"
@@ -57,7 +55,7 @@ func runObserved(t *testing.T, withServe bool) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obsv, err = startObservatory("127.0.0.1:0", tel, []string{"fig8f"}, logger, 0)
+		obsv, err = startObservatory("127.0.0.1:0", tel, []string{"fig8f"}, logger)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +128,7 @@ func TestServeDoesNotPerturbManifest(t *testing.T) {
 // stream boundary markers, /metrics carries both namespaces.
 func TestObservatoryLiveEndpoints(t *testing.T) {
 	tel := melody.NewTelemetry()
-	obsv, err := startObservatory("127.0.0.1:0", tel, []string{"fig8f"}, nil, 0)
+	obsv, err := startObservatory("127.0.0.1:0", tel, []string{"fig8f"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,76 +253,4 @@ func TestRunCmdInterruptFlushesManifest(t *testing.T) {
 	if parsed.Cells == nil {
 		t.Fatal("interrupted manifest has null cells")
 	}
-}
-
-// TestObservatoryWithProfiler pins the -prof-interval wiring: an
-// observatory started with a profiling cadence serves /profiles with
-// captures in it, records profiler instruments under the observatory
-// namespace only, and close() stops the capture loop cleanly.
-func TestObservatoryWithProfiler(t *testing.T) {
-	tel := melody.NewTelemetry()
-	obsv, err := startObservatory("127.0.0.1:0", tel, []string{"fig8f"}, nil, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer obsv.close()
-	base := "http://" + obsv.run.Addr().String()
-
-	// The profiler's initial round runs at startup; poll briefly for the
-	// instant captures (heap/goroutine land before the CPU window ends).
-	var listing struct {
-		Profiles []json.RawMessage `json:"profiles"`
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(base + "/profiles")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /profiles = %d: %s", resp.StatusCode, body)
-		}
-		if err := json.Unmarshal(body, &listing); err != nil {
-			t.Fatalf("decode /profiles: %v\n%s", err, body)
-		}
-		if len(listing.Profiles) > 0 || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if len(listing.Profiles) == 0 {
-		t.Fatal("no captures after startup round")
-	}
-
-	// Profiler instruments live in the observatory namespace, never the
-	// engine registry (where they would leak into the manifest).
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "melody_observatory_hostprof_captures_total") {
-		t.Fatal("/metrics missing hostprof instruments")
-	}
-	snap := tel.Registry.Snapshot()
-	for _, m := range []map[string]struct{}{keys(snap.Counters), keys(snap.Gauges), keys(snap.Histograms)} {
-		for name := range m {
-			if strings.HasPrefix(name, "hostprof/") {
-				t.Fatalf("profiler instrument %q leaked into the engine registry", name)
-			}
-		}
-	}
-}
-
-// keys projects a map's key set (the engine-registry snapshot has three
-// differently-typed instrument maps).
-func keys[V any](m map[string]V) map[string]struct{} {
-	out := make(map[string]struct{}, len(m))
-	for k := range m {
-		out[k] = struct{}{}
-	}
-	return out
 }

@@ -23,7 +23,6 @@ import (
 	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/melody"
 	"github.com/moatlab/melody/internal/melody/spec"
-	"github.com/moatlab/melody/internal/obs/hostprof"
 	"github.com/moatlab/melody/internal/obs/ledger"
 	"github.com/moatlab/melody/internal/obs/serve"
 	"github.com/moatlab/melody/internal/obs/svclog"
@@ -97,17 +96,12 @@ func serveCmd(args []string) int {
 	logLevel := fs.String("log-level", "info", "structured log level on stderr: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "structured log format on stderr: text or json")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on <addr> (e.g. localhost:6060)")
-	profEvery := fs.Duration("prof-interval", 0, "continuous host profiling cadence (0 = off; captures queryable at /profiles)")
 	debugPprof := fs.Bool("debug-pprof", false, "mount /debug/pprof/* on the observatory itself")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "melody serve: unexpected argument %q\n", fs.Arg(0))
-		return 2
-	}
-	if *profEvery < 0 {
-		fmt.Fprintln(os.Stderr, "melody serve: -prof-interval must be positive")
 		return 2
 	}
 	// The service plane logs at info by default — queue transitions,
@@ -184,22 +178,6 @@ func serveCmd(args []string) int {
 		defer pp.Close()
 	}
 
-	// -prof-interval attaches the continuous host profiler: interval and
-	// job-start captures of the service process, stamped with the job ids
-	// running during each window, queryable at /profiles. Instruments go
-	// to the self-registry; per-job engine registries never see them, so
-	// profiling cannot perturb any job's manifest.
-	var prof *hostprof.Profiler
-	if *profEvery > 0 {
-		prof = hostprof.New(hostprof.Config{
-			Interval:   *profEvery,
-			Registry:   srv.SelfRegistry(),
-			Log:        logger,
-			ActiveJobs: mgr.RunningJobs,
-		})
-		srv.AttachProfiler(prof)
-	}
-
 	run, err := srv.Start(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "melody serve:", err)
@@ -218,15 +196,7 @@ func serveCmd(args []string) int {
 	// drain completes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var profDone chan struct{}
-	if prof != nil {
-		profDone = make(chan struct{})
-		go func() { prof.Run(ctx); close(profDone) }()
-	}
 	mgr.Run(ctx)
-	if profDone != nil {
-		<-profDone
-	}
 	logger.Info("job service drained, shutting down")
 	return 0
 }

@@ -517,11 +517,10 @@ func (m *Manager) Run(ctx context.Context) {
 				tracespan.String(svclog.KeySpecHash, j.hash),
 			)
 		}
-		// Execute under pprof labels so host CPU profiles captured by the
-		// continuous profiler (internal/obs/hostprof) attribute samples to
-		// this job: every goroutine melody.Execute spawns inherits the
-		// labels, making a capture sliceable per job with
-		// `go tool pprof -tagfocus job_id=<id>`.
+		// Execute under pprof labels so host CPU profiles taken from
+		// /debug/pprof/profile attribute samples to this job: every
+		// goroutine melody.Execute spawns inherits the labels, making a
+		// capture sliceable per job with `go tool pprof -tagfocus job_id=<id>`.
 		var res ExecResult
 		var err error
 		pprof.Do(execCtx, pprof.Labels(svclog.KeyJobID, j.id, svclog.KeySpecHash, j.hash),
@@ -567,6 +566,12 @@ func (m *Manager) Run(ctx context.Context) {
 			fin = Event{JobID: j.id, SpecHash: j.hash, TraceID: j.traceID(),
 				Type: EventFinished, State: StateDone, Interrupted: res.Interrupted}
 		}
+		// Record before the lock releases the terminal state: anyone who
+		// observes the job finished also sees it counted.
+		if m.met != nil {
+			m.met.execDur.Record(execS)
+		}
+		m.met.counter(fin.State).Inc()
 		m.mu.Unlock()
 		if storeErr != nil {
 			m.logger().Error("run store put failed",
@@ -580,17 +585,12 @@ func (m *Manager) Run(ctx context.Context) {
 			execSpan.SetAttr("interrupted", "true")
 		}
 		execSpan.End()
-		if m.met != nil {
-			m.met.execDur.Record(execS)
-		}
 		switch {
 		case err != nil:
-			m.met.counter(StateFailed).Inc()
 			m.logger().Error("job failed",
 				svclog.KeyJobID, j.id, svclog.KeySpecHash, j.hash,
 				"exec_s", execS, "err", err.Error())
 		default:
-			m.met.counter(StateDone).Inc()
 			m.logger().Info("job finished",
 				svclog.KeyJobID, j.id, svclog.KeySpecHash, j.hash,
 				"exec_s", execS, "interrupted", res.Interrupted)
@@ -676,22 +676,6 @@ func (m *Manager) QueueDepth() int {
 
 // QueueCap returns the admission bound.
 func (m *Manager) QueueCap() int { return m.queueCap }
-
-// RunningJobs returns the ids of jobs currently executing (with one
-// worker, zero or one). The continuous profiler stamps captures with
-// this set so profiles overlapping a job are findable by job id — and
-// protected from routine eviction.
-func (m *Manager) RunningJobs() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for _, j := range m.live {
-		if j.state == StateRunning {
-			out = append(out, j.id)
-		}
-	}
-	return out
-}
 
 // StoreSize returns the number of cached spec→manifest entries.
 func (m *Manager) StoreSize() int {

@@ -120,7 +120,11 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = r.Run(spec, counted)
+			res, err := r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: counted})
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
 		}(i)
 	}
 	wg.Wait()

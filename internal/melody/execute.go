@@ -144,9 +144,9 @@ func Execute(ctx context.Context, sp spec.RunSpec, h ExecHooks) (ExecOutcome, er
 	eng.Progress = h.Progress
 
 	out := ExecOutcome{Spec: n}
-	// Run under a spec_hash pprof label: host CPU profiles captured while
-	// this run executes (internal/obs/hostprof) attribute its samples to
-	// the spec, alongside the job_id label the job worker already set.
+	// Run under a spec_hash pprof label: host CPU profiles taken from
+	// /debug/pprof/profile while this run executes attribute its samples
+	// to the spec, alongside the job_id label the job worker already set.
 	// Labels are inherited by every goroutine the engine spawns inside
 	// this scope; like the log lines, they are pure observation.
 	pprof.Do(ctx, pprof.Labels(svclog.KeySpecHash, hash), func(ctx context.Context) {

@@ -29,6 +29,39 @@ func fastRunner(p platform.Platform) *Runner {
 	return r
 }
 
+// mustRun runs one cell on r under context.Background(), failing t on
+// error.
+func mustRun(t testing.TB, r *Runner, spec workload.Spec, mc MemConfig) Result {
+	t.Helper()
+	res, err := r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: mc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustSlowdown is SlowdownCtx under context.Background(), failing t on
+// error.
+func mustSlowdown(t testing.TB, r *Runner, spec workload.Spec, target MemConfig) float64 {
+	t.Helper()
+	s, err := r.SlowdownCtx(context.Background(), spec, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// mustSlowdowns is SlowdownsCtx under context.Background(), failing t
+// on error.
+func mustSlowdowns(t testing.TB, r *Runner, specs []workload.Spec, target MemConfig) []float64 {
+	t.Helper()
+	out, err := r.SlowdownsCtx(context.Background(), specs, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // testSubset picks a diverse, fast catalog subset.
 func testSubset(t *testing.T, n int) []workload.Spec {
 	t.Helper()
@@ -61,8 +94,8 @@ func TestRunnerCaching(t *testing.T) {
 	emr := platform.EMR2S()
 	r := fastRunner(emr)
 	spec, _ := workload.ByName("625.x264_s")
-	a := r.Run(spec, Local(emr))
-	b := r.Run(spec, Local(emr))
+	a := mustRun(t, r, spec, Local(emr))
+	b := mustRun(t, r, spec, Local(emr))
 	if a.Cycles() != b.Cycles() {
 		t.Fatal("cached run differed")
 	}
@@ -73,8 +106,8 @@ func TestRunnerDeterminism(t *testing.T) {
 	RegisterWorkloads()
 	emr := platform.EMR2S()
 	spec, _ := workload.ByName("605.mcf_s")
-	a := fastRunner(emr).Run(spec, Local(emr))
-	b := fastRunner(emr).Run(spec, Local(emr))
+	a := mustRun(t, fastRunner(emr), spec, Local(emr))
+	b := mustRun(t, fastRunner(emr), spec, Local(emr))
 	if a.Cycles() != b.Cycles() {
 		t.Fatalf("same seed diverged: %v vs %v", a.Cycles(), b.Cycles())
 	}
@@ -89,11 +122,11 @@ func TestSlowdownOrdering(t *testing.T) {
 	run, runP := fastRunner(emr), fastRunner(emrP)
 	med := func(xs []float64) float64 { return stats.Percentile(xs, 50) }
 
-	numa := med(run.Slowdowns(specs, NUMA(emr)))
-	d := med(runP.Slowdowns(specs, CXL(emrP, cxl.ProfileD())))
-	a := med(run.Slowdowns(specs, CXL(emr, cxl.ProfileA())))
-	b := med(run.Slowdowns(specs, CXL(emr, cxl.ProfileB())))
-	c := med(run.Slowdowns(specs, CXL(emr, cxl.ProfileC())))
+	numa := med(mustSlowdowns(t, run, specs, NUMA(emr)))
+	d := med(mustSlowdowns(t, runP, specs, CXL(emrP, cxl.ProfileD())))
+	a := med(mustSlowdowns(t, run, specs, CXL(emr, cxl.ProfileA())))
+	b := med(mustSlowdowns(t, run, specs, CXL(emr, cxl.ProfileB())))
+	c := med(mustSlowdowns(t, run, specs, CXL(emr, cxl.ProfileC())))
 	t.Logf("median slowdowns: NUMA %.1f%% D %.1f%% A %.1f%% B %.1f%% C %.1f%%",
 		numa*100, d*100, a*100, b*100, c*100)
 	// The paper's CDF ordering is NUMA <= D <= A <= B <= C. CXL-D runs
@@ -116,8 +149,8 @@ func TestBandwidthTail(t *testing.T) {
 	emr := platform.EMR2S()
 	run := fastRunner(emr)
 	spec, _ := workload.ByName("603.bwaves_s")
-	numa := run.Slowdown(spec, NUMA(emr))
-	a := run.Slowdown(spec, CXL(emr, cxl.ProfileA()))
+	numa := mustSlowdown(t, run, spec, NUMA(emr))
+	a := mustSlowdown(t, run, spec, CXL(emr, cxl.ProfileA()))
 	if a < 1.5 {
 		t.Fatalf("bandwidth-bound CXL-A slowdown = %.0f%%, want >= 150%%", a*100)
 	}
@@ -137,7 +170,7 @@ func TestComputeTolerance(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missing", name)
 		}
-		if s := run.Slowdown(spec, CXL(emr, cxl.ProfileA())); s > 0.10 {
+		if s := mustSlowdown(t, run, spec, CXL(emr, cxl.ProfileA())); s > 0.10 {
 			t.Fatalf("%s slows %.1f%% on CXL-A, want < 10%%", name, s*100)
 		}
 	}
@@ -151,8 +184,8 @@ func TestCXLNUMAPathology(t *testing.T) {
 	emr := platform.EMR2S()
 	spec, _ := workload.ByName("520.omnetpp_r")
 	run := fastRunner(emr)
-	cxlS := run.Slowdown(spec, CXL(emr, cxl.ProfileA()))
-	mixS := run.Slowdown(spec, CXLNUMA(emr, cxl.ProfileA()))
+	cxlS := mustSlowdown(t, run, spec, CXL(emr, cxl.ProfileA()))
+	mixS := mustSlowdown(t, run, spec, CXLNUMA(emr, cxl.ProfileA()))
 	t.Logf("omnetpp: CXL-A %.0f%%, CXL-A+NUMA %.0f%%", cxlS*100, mixS*100)
 	if mixS < cxlS*1.8 {
 		t.Fatalf("CXL+NUMA pathology missing: CXL %.0f%% vs CXL+NUMA %.0f%%", cxlS*100, mixS*100)
@@ -165,7 +198,7 @@ func TestCXLNUMAPathology(t *testing.T) {
 	light.Profile.WorkingSetMB /= 4
 	light.Siblings.DelayNs *= 4
 	lightRun := fastRunner(emr)
-	lightMix := lightRun.Slowdown(light, CXLNUMA(emr, cxl.ProfileA()))
+	lightMix := mustSlowdown(t, lightRun, light, CXLNUMA(emr, cxl.ProfileA()))
 	if lightMix > mixS*0.7 {
 		t.Fatalf("intensity scaling did not shrink pathology: full %.0f%% vs 1/4 %.0f%%",
 			mixS*100, lightMix*100)
@@ -180,8 +213,8 @@ func TestSpaAccuracyAcrossCatalog(t *testing.T) {
 	run := fastRunner(emr)
 	within := 0
 	for _, s := range specs {
-		base := run.Run(s, Local(emr))
-		tgt := run.Run(s, CXL(emr, cxl.ProfileA()))
+		base := mustRun(t, run, s, Local(emr))
+		tgt := mustRun(t, run, s, CXL(emr, cxl.ProfileA()))
 		b := spa.Analyze(base.Delta, tgt.Delta)
 		_, _, em := spa.AccuracyErrors(b)
 		if em <= 0.05 {
@@ -209,8 +242,8 @@ func TestFig12Shift(t *testing.T) {
 	run := fastRunner(emr)
 	var dec, inc []float64
 	for _, s := range specs {
-		base := run.Run(s, Local(emr))
-		tgt := run.Run(s, CXL(emr, cxl.ProfileB()))
+		base := mustRun(t, run, s, Local(emr))
+		tgt := mustRun(t, run, s, CXL(emr, cxl.ProfileB()))
 		d := tgt.Delta.Delta(base.Delta)
 		dec = append(dec, -d[counters.L2PFL3Miss])
 		inc = append(inc, d[counters.L1PFL3Miss])
@@ -231,9 +264,9 @@ func TestYCSBSuperlinear(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missing", name)
 		}
-		numa := run.Slowdown(spec, NUMA(emr))
-		a := run.Slowdown(spec, CXL(emr, cxl.ProfileA()))
-		b := run.Slowdown(spec, CXL(emr, cxl.ProfileB()))
+		numa := mustSlowdown(t, run, spec, NUMA(emr))
+		a := mustSlowdown(t, run, spec, CXL(emr, cxl.ProfileA()))
+		b := mustSlowdown(t, run, spec, CXL(emr, cxl.ProfileB()))
 		t.Logf("%s: NUMA %.1f%% CXL-A %.1f%% CXL-B %.1f%%", name, numa*100, a*100, b*100)
 		if !(numa < a && a < b) {
 			t.Fatalf("%s: slowdown not increasing with latency: %v %v %v", name, numa, a, b)

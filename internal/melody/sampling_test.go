@@ -183,8 +183,8 @@ func TestSampledStreamFeedsPeriodSpa(t *testing.T) {
 	}
 	r := fastRunner(p)
 	r.SampleEveryCycles = 20_000
-	base := r.Run(spec, Local(p))
-	tgt := r.Run(spec, CXL(p, cxl.ProfileB()))
+	base := mustRun(t, r, spec, Local(p))
+	tgt := mustRun(t, r, spec, CXL(p, cxl.ProfileB()))
 
 	periods := spa.AnalyzePeriods(
 		sampler.CoreSamplesOf(base.Sampled),

@@ -13,7 +13,6 @@ import (
 	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/melody/spec"
 	"github.com/moatlab/melody/internal/obs"
-	"github.com/moatlab/melody/internal/obs/hostprof"
 	"github.com/moatlab/melody/internal/obs/svclog"
 	"github.com/moatlab/melody/internal/obs/tracespan"
 )
@@ -91,12 +90,6 @@ func (a *jobAPI) hub(jobID string) *Hub {
 // Publish is non-blocking by construction (drop-oldest), so a slow SSE
 // client can never stall a running experiment.
 func (a *jobAPI) onEvent(ev jobs.Event) {
-	// A job starting is the moment worth profiling: trigger an immediate
-	// CPU capture so even a job shorter than the routine interval gets a
-	// profile overlapping its execution (nil profiler no-ops).
-	if ev.Type == jobs.EventStarted {
-		a.srv.prof.TriggerCPU(hostprof.ReasonJobStart)
-	}
 	// A freshly completed (not cache-answered, not partial) run is the
 	// moment for baseline regression checks — before the job_finished
 	// event below, so per-job SSE subscribers, whose stream closes at
@@ -187,8 +180,8 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(st)
 }
 
-// list is GET /runs. Filters follow the /traces and /profiles
-// conventions (bad input answers 400, never a silently-empty list):
+// list is GET /runs. Filters follow the /traces conventions (bad input
+// answers 400, never a silently-empty list):
 //
 //	?state=done     only jobs in one lifecycle state
 //	?limit=20       at most this many jobs, newest submissions last

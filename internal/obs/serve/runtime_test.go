@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/moatlab/melody/internal/obs"
-	"github.com/moatlab/melody/internal/obs/hostprof"
 )
 
 // TestRuntimeSamplerMapsReading pins the Reading → gauge mapping with
@@ -15,9 +15,9 @@ func TestRuntimeSamplerMapsReading(t *testing.T) {
 	rs := newRuntimeSampler(reg, time.Now().Add(-10*time.Second))
 
 	var askedPrev []uint32
-	rs.read = func(prev uint32) hostprof.Reading {
+	rs.read = func(prev uint32) Reading {
 		askedPrev = append(askedPrev, prev)
-		return hostprof.Reading{
+		return Reading{
 			Goroutines: 42,
 			HeapAlloc:  1 << 20,
 			HeapSys:    4 << 20,
@@ -48,9 +48,9 @@ func TestRuntimeSamplerMapsReading(t *testing.T) {
 	}
 
 	// The next sample asks for pauses since the previous NumGC.
-	rs.read = func(prev uint32) hostprof.Reading {
+	rs.read = func(prev uint32) Reading {
 		askedPrev = append(askedPrev, prev)
-		return hostprof.Reading{NumGC: 7} // no new cycles
+		return Reading{NumGC: 7} // no new cycles
 	}
 	rs.sample()
 	if len(askedPrev) != 2 || askedPrev[0] != 0 || askedPrev[1] != 7 {
@@ -76,8 +76,8 @@ func TestRuntimeSamplerPauseRingWraparound(t *testing.T) {
 	for c := uint32(cur - 255); c <= cur; c++ {
 		ring[(c+255)%256] = uint64(c)
 	}
-	rs.read = func(prev uint32) hostprof.Reading {
-		return hostprof.Reading{NumGC: cur, PauseNs: hostprof.PausesSince(&ring, prev, cur)}
+	rs.read = func(prev uint32) Reading {
+		return Reading{NumGC: cur, PauseNs: PausesSince(&ring, prev, cur)}
 	}
 
 	// First sample: prev=0, gap of 600 cycles >> ring depth.
@@ -92,11 +92,11 @@ func TestRuntimeSamplerPauseRingWraparound(t *testing.T) {
 	}
 
 	// A later small advance records exactly the new cycles.
-	rs.read = func(prev uint32) hostprof.Reading {
+	rs.read = func(prev uint32) Reading {
 		if prev != cur {
 			t.Fatalf("second sample prev = %d, want %d", prev, cur)
 		}
-		return hostprof.Reading{NumGC: cur + 2, PauseNs: []float64{7, 9}}
+		return Reading{NumGC: cur + 2, PauseNs: []float64{7, 9}}
 	}
 	rs.sample()
 	if h.Count() != 258 {
@@ -115,5 +115,51 @@ func TestRuntimeSamplerRealReadings(t *testing.T) {
 	}
 	if reg.Gauge("runtime/heap_alloc_bytes").Value() <= 0 {
 		t.Fatal("heap gauge not set from live runtime")
+	}
+}
+
+func TestTakeReadingTracksGC(t *testing.T) {
+	r0 := TakeReading(0)
+	if r0.Goroutines <= 0 || r0.HeapAlloc == 0 {
+		t.Fatalf("implausible reading %+v", r0)
+	}
+	runtime.GC()
+	runtime.GC()
+	r1 := TakeReading(r0.NumGC)
+	if r1.NumGC < r0.NumGC+2 {
+		t.Fatalf("NumGC did not advance: %d → %d", r0.NumGC, r1.NumGC)
+	}
+	if len(r1.PauseNs) != int(r1.NumGC-r0.NumGC) {
+		t.Fatalf("PauseNs has %d entries for %d cycles", len(r1.PauseNs), r1.NumGC-r0.NumGC)
+	}
+}
+
+func TestPausesSince(t *testing.T) {
+	var ring [256]uint64
+	for c := uint32(1); c <= 300; c++ {
+		ring[(c+255)%256] = uint64(c)
+	}
+	// Normal window.
+	got := PausesSince(&ring, 290, 295)
+	want := []float64{291, 292, 293, 294, 295}
+	if len(got) != len(want) {
+		t.Fatalf("PausesSince = %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("PausesSince = %v, want %v", got, want)
+		}
+	}
+	// Gap wider than the ring: clamped to the newest 256 cycles.
+	got = PausesSince(&ring, 10, 300)
+	if len(got) != 256 {
+		t.Fatalf("wrapped window = %d pauses, want 256", len(got))
+	}
+	if got[0] != 45 || got[255] != 300 {
+		t.Fatalf("wrapped window spans [%v, %v], want [45, 300]", got[0], got[255])
+	}
+	// No new cycles.
+	if got := PausesSince(&ring, 300, 300); got != nil {
+		t.Fatalf("empty window = %v", got)
 	}
 }

@@ -61,7 +61,6 @@ import (
 	"time"
 
 	"github.com/moatlab/melody/internal/obs"
-	"github.com/moatlab/melody/internal/obs/hostprof"
 	"github.com/moatlab/melody/internal/obs/ledger"
 	"github.com/moatlab/melody/internal/obs/prom"
 	"github.com/moatlab/melody/internal/obs/svclog"
@@ -88,7 +87,6 @@ type Server struct {
 	log      *slog.Logger
 	rt       *runtimeSampler
 	tracer   *tracespan.Tracer
-	prof     *hostprof.Profiler
 	ledger   *ledger.Ledger
 
 	// crossreg holds the cross-run regression families. Unlike the
@@ -126,12 +124,12 @@ func New(registry *obs.Registry, progress func() any) *Server {
 	self := obs.NewRegistry()
 	start := time.Now()
 	s := &Server{
-		registry:    registry,
-		progress:    progress,
-		self:        self,
-		start:       start,
-		log:         svclog.Discard(),
-		rt:          newRuntimeSampler(self, start),
+		registry:       registry,
+		progress:       progress,
+		self:           self,
+		start:          start,
+		log:            svclog.Discard(),
+		rt:             newRuntimeSampler(self, start),
 		crossreg:       obs.NewRegistry(),
 		scrapes:        self.Counter("serve/metrics_scrapes"),
 		progReads:      self.Counter("serve/progress_reads"),
@@ -187,14 +185,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /readyz", s.wrap("/readyz", s.readyz))
 	mux.Handle("GET /traces", s.wrap("/traces", s.traceList))
 	mux.Handle("GET /traces/{id}", s.wrap("/traces/{id}", s.traceGet))
-	if s.prof != nil {
-		mux.Handle("GET /profiles", s.wrap("/profiles", s.profileList))
-		mux.Handle("GET /profiles/heapdelta", s.wrap("/profiles/heapdelta", s.profileHeapDelta))
-		mux.Handle("GET /profiles/{id}", s.wrap("/profiles/{id}", s.profileGet))
-	} else {
-		mux.Handle("/profiles", s.wrap("/profiles", s.noProfiles))
-		mux.Handle("/profiles/", s.wrap("/profiles", s.noProfiles))
-	}
 	if s.DebugPprof {
 		s.mountDebugPprof(mux)
 	}
@@ -236,7 +226,7 @@ func (s *Server) index(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	fmt.Fprint(w, "melody observatory\n\n/metrics   Prometheus exposition\n/progress  JSON run progress\n/events    SSE run events\n/healthz   liveness\n/readyz    readiness (queue state)\n/traces    request trace store (list; /traces/{id} for one span tree)\n/profiles  host profile store (list; /profiles/{id} raw pb.gz; /profiles/heapdelta)\n/runs      experiment job API (POST spec, GET status/manifest/events)\n/compare   diff two stored runs (?base=&head=, run id or spec hash)\n/baselines pinned regression baselines (GET list, POST pin, DELETE unpin)\n")
+	fmt.Fprint(w, "melody observatory\n\n/metrics   Prometheus exposition\n/progress  JSON run progress\n/events    SSE run events\n/healthz   liveness\n/readyz    readiness (queue state)\n/traces    request trace store (list; /traces/{id} for one span tree)\n/runs      experiment job API (POST spec, GET status/manifest/events)\n/compare   diff two stored runs (?base=&head=, run id or spec hash)\n/baselines pinned regression baselines (GET list, POST pin, DELETE unpin)\n")
 }
 
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
