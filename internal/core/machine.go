@@ -124,6 +124,24 @@ type Machine struct {
 // New builds a Machine over cfg. The device is not Reset; callers own
 // device lifecycle so contended setups can share one device.
 func New(cfg Config) *Machine {
+	m := &Machine{}
+	m.init(cfg, Machine{})
+	return m
+}
+
+// Reset re-arms m for cfg, leaving it indistinguishable from New(cfg).
+// Caches whose geometry cfg keeps are cleared and reused, as are the
+// prefetcher tables, the ROB ring and the queues' storage; everything
+// else starts over. Slices m has handed out (Samples, RegionStats) are
+// never written again. Like New, Reset leaves the device alone.
+func (m *Machine) Reset(cfg Config) {
+	prev := *m
+	m.init(cfg, prev)
+}
+
+// init builds m from its zero value over cfg, taking storage from prev
+// where the geometry allows.
+func (m *Machine) init(cfg Config, prev Machine) {
 	cpu := cfg.CPU
 	if cpu.FreqGHz <= 0 || cpu.RetireWidth <= 0 {
 		panic("core: invalid CPU config")
@@ -132,23 +150,28 @@ func New(cfg Config) *Machine {
 	if l2pfMax <= 0 {
 		l2pfMax = 24
 	}
-	m := &Machine{
+	*m = Machine{
 		cfg:        cfg,
 		dev:        cfg.Device,
 		nsPerCycle: 1 / cpu.FreqGHz,
-		l1:         cache.New(cpu.L1DBytes, 8),
-		l2:         cache.New(cpu.L2Bytes, 16),
-		l3:         cache.New(cpu.L3Bytes, 16),
-		l1pf:       prefetch.New(prefetch.L1Config()),
-		l2pf:       prefetch.New(prefetch.L2Config()),
-		lfb:        &sim.TimeHeap{},
-		sb:         &sim.TimeHeap{},
-		l2pfQ:      &sim.TimeHeap{},
+		l1:         cache.Reuse(prev.l1, cpu.L1DBytes, 8),
+		l2:         cache.Reuse(prev.l2, cpu.L2Bytes, 16),
+		l3:         cache.Reuse(prev.l3, cpu.L3Bytes, 16),
+		l1pf:       reuseStreamer(prev.l1pf, prefetch.L1Config()),
+		l2pf:       reuseStreamer(prev.l2pf, prefetch.L2Config()),
+		lfb:        reuseHeap(prev.lfb),
+		sb:         reuseHeap(prev.sb),
+		l2pfQ:      reuseHeap(prev.l2pfQ),
 		l2pfMax:    l2pfMax,
 	}
 	m.issueStep = m.nsPerCycle / float64(cpu.RetireWidth)
 	m.robWindow = float64(cpu.ROB) / float64(cpu.RetireWidth) * m.nsPerCycle
-	m.robRing = make([]float64, cpu.ROB)
+	if len(prev.robRing) == cpu.ROB {
+		m.robRing = prev.robRing
+		clear(m.robRing)
+	} else {
+		m.robRing = make([]float64, cpu.ROB)
+	}
 	if cfg.SampleIntervalNs > 0 {
 		m.nextSampleNs = cfg.SampleIntervalNs
 	}
@@ -157,7 +180,25 @@ func New(cfg Config) *Machine {
 		m.hookStepNs = float64(cfg.SampleEveryCycles) * m.nsPerCycle
 		m.nextHookNs = m.hookStepNs
 	}
-	return m
+}
+
+// reuseStreamer returns s, Reset, or a new streamer when s is nil. The
+// machine's two streamer shapes never change, so s always fits cfg.
+func reuseStreamer(s *prefetch.Streamer, cfg prefetch.Config) *prefetch.Streamer {
+	if s == nil {
+		return prefetch.New(cfg)
+	}
+	s.Reset()
+	return s
+}
+
+// reuseHeap returns h emptied, or a new heap when h is nil.
+func reuseHeap(h *sim.TimeHeap) *sim.TimeHeap {
+	if h == nil {
+		return &sim.TimeHeap{}
+	}
+	h.Reset()
+	return h
 }
 
 // latencies in ns.

@@ -494,3 +494,58 @@ func TestDetachedSamplerZeroAlloc(t *testing.T) {
 		t.Fatalf("detached load path allocates %.1f bytes-objects per op", allocs)
 	}
 }
+
+// TestResetReusesOnlyMatchingGeometry checks that Reset keeps the caches
+// when the CPU's geometry is unchanged and reallocates them otherwise.
+func TestResetReusesOnlyMatchingGeometry(t *testing.T) {
+	m := newMachine(100)
+	l1, l2, l3 := m.l1, m.l2, m.l3
+	m.Preload(0, 1<<20)
+	m.Reset(Config{CPU: testCPU(), Device: &fixedDev{lat: 300}, PrefetchersOff: true})
+	if m.l1 != l1 || m.l2 != l2 || m.l3 != l3 {
+		t.Fatal("same-geometry Reset reallocated a cache")
+	}
+	if m.preloaded != 0 {
+		t.Fatalf("preload budget survived Reset: %d lines", m.preloaded)
+	}
+	other := testCPU()
+	other.L3Bytes *= 2
+	m.Reset(Config{CPU: other, Device: &fixedDev{lat: 300}})
+	if m.l3 == l3 || m.l3.Sets() != 2*l3.Sets() {
+		t.Fatal("Reset to a larger LLC kept the old one")
+	}
+	if m.l1 != l1 || m.l2 != l2 {
+		t.Fatal("Reset reallocated caches whose geometry did not change")
+	}
+}
+
+// TestResetAllocatesNoMetadata pins that a same-geometry Reset allocates
+// nothing, cache metadata included.
+func TestResetAllocatesNoMetadata(t *testing.T) {
+	cfg := Config{CPU: platform.EMR2S().CPU, Device: &fixedDev{lat: 100}}
+	m := New(cfg)
+	m.Preload(0, 64<<20)
+	if a := testing.AllocsPerRun(5, func() { m.Reset(cfg) }); a != 0 {
+		t.Fatalf("same-geometry Reset allocated %v times", a)
+	}
+}
+
+// TestResetForgetsStreamState reruns one streaming loop after Reset. The
+// prefetchers' tables still hold the loop's pages from the first run,
+// so a Reset that kept them would train differently from a new machine.
+func TestResetForgetsStreamState(t *testing.T) {
+	cfg := Config{CPU: testCPU(), Device: &fixedDev{lat: 200}}
+	stream := func(m *Machine) counters.Snapshot {
+		for i := uint64(0); i < 2000; i++ {
+			m.Load(i*mem.LineSize, false)
+			m.Store((1<<20 + i*3) * mem.LineSize)
+		}
+		return m.Counters()
+	}
+	m := New(cfg)
+	stream(m)
+	m.Reset(cfg)
+	if got, want := stream(m), stream(New(cfg)); got != want {
+		t.Fatalf("reset machine diverged from a new one:\nreset: %v\nnew:   %v", got, want)
+	}
+}

@@ -43,20 +43,14 @@ func (m *Machine) regionIndex(addr uint64) int {
 // residency a long-running program would have built up — simulation
 // windows are far too short to warm hundreds of megabytes organically.
 // Total preloading is capped at 85% of LLC capacity; later calls
-// preload less once the budget is spent.
+// preload less once the budget is spent. Each level is filled set by
+// set (cache.Fill), which leaves exactly the state of inserting the
+// lines one by one.
 func (m *Machine) Preload(base, size uint64) {
 	capacity := uint64(float64(m.l3.Sets()*m.l3.Ways()) * 0.85)
 	l2cap := uint64(float64(m.l2.Sets()*m.l2.Ways()) * 0.5)
-	lines := size / mem.LineSize
-	for i := uint64(0); i < lines; i++ {
-		if m.preloaded >= capacity {
-			return
-		}
-		addr := base + i*mem.LineSize
-		m.l3.Insert(addr, 0, false)
-		if i < l2cap {
-			m.l2.Insert(addr, 0, false)
-		}
-		m.preloaded++
-	}
+	n := min(size/mem.LineSize, capacity-m.preloaded)
+	m.l3.Fill(base, n)
+	m.l2.Fill(base, min(n, l2cap))
+	m.preloaded += n
 }

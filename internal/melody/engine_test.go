@@ -2,6 +2,7 @@ package melody
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,5 +248,55 @@ func TestDeriveSeed(t *testing.T) {
 	}
 	if deriveSeed("a", "x", 1) == deriveSeed("a", "x", 2) {
 		t.Fatal("deriveSeed ignores base seed")
+	}
+}
+
+// TestWorkerReuseMatchesFreshRunner checks that a worker's reused
+// machine leaves no trace in results: every cell of a mixed batch
+// (preloading synthetics, YCSB apps, sampled streams), run through
+// RunAll at 1 and 2 workers, equals the same cell run alone on a new
+// Runner, which builds a new machine.
+func TestWorkerReuseMatchesFreshRunner(t *testing.T) {
+	RegisterWorkloads()
+	skx := platform.SKX2S()
+	var specs []workload.Spec
+	for _, n := range []string{"micro-hot80-32m", "redis-ycsb-A", "605.mcf_s", "voltdb-ycsb-C", "603.bwaves_s"} {
+		s, ok := workload.ByName(n)
+		if !ok {
+			t.Fatalf("workload %s missing", n)
+		}
+		specs = append(specs, s)
+	}
+	cells := Cells(specs, Local(skx), CXL(skx, cxl.ProfileB()))
+	runner := func(workers int) *Runner {
+		r := NewRunner(skx)
+		r.Instructions, r.Warmup = 60_000, 20_000
+		r.SampleIntervalNs = 5_000
+		r.SampleEveryCycles = 20_000
+		r.Workers = workers
+		return r
+	}
+	fresh := make([]Result, len(cells))
+	for i, c := range cells {
+		res, err := runner(1).RunCtx(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = res
+	}
+	for _, workers := range []int{1, 2} {
+		got, err := runner(workers).RunAll(context.Background(), cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cells {
+			if !reflect.DeepEqual(got[i], fresh[i]) {
+				t.Fatalf("workers=%d: %s on %s differs from a fresh runner's result",
+					workers, cells[i].Spec.Name, cells[i].Config.Name)
+			}
+		}
+	}
+	if len(fresh[0].Samples) == 0 || len(fresh[0].Sampled) == 0 || len(fresh[0].Regions) == 0 {
+		t.Fatal("batch exercised no samples or region stats")
 	}
 }

@@ -43,10 +43,11 @@ func Ablations(ec *ExperimentContext) *Report {
 	if instr == 0 {
 		instr = 500_000
 	}
+	var slot *core.Machine
 	for _, budget := range []int{8, 24, 64} {
 		dev := emr.CXLDevice(cxl.ProfileB(), o.seed())
 		w := spec.Build(o.seed())
-		m := core.New(core.Config{CPU: emr.CPU, Device: dev,
+		m := reuseMachine(&slot, core.Config{CPU: emr.CPU, Device: dev,
 			MaxInstructions: instr, L2PFMaxInflight: budget})
 		w.Run(m)
 		c := m.Counters()

@@ -33,10 +33,11 @@ func fig7cLatencies(o Options) []fig7cRow {
 		instr = 1_500_000
 	}
 	var rows []fig7cRow
+	var slot *core.Machine
 	for _, c := range configs {
 		y := kvstore.NewYCSB("redis-ycsb-C", kvstore.RedisConfig(), kvstore.YCSBMixes()["C"], o.seed())
 		y.RecordOpLatency = true
-		m := core.New(core.Config{CPU: spr.CPU, Device: c.dev(), MaxInstructions: instr})
+		m := reuseMachine(&slot, core.Config{CPU: spr.CPU, Device: c.dev(), MaxInstructions: instr})
 		for _, obj := range y.PreloadObjects() {
 			m.Preload(obj.Base, obj.Size)
 		}

@@ -98,9 +98,10 @@ func TieringExp(ec *ExperimentContext) *Report {
 		instr = 800_000
 	}
 
+	var slot *core.Machine
 	runOn := func(mkDev func() mem.Device) float64 {
 		w := spec.Build(o.seed())
-		m := core.New(core.Config{CPU: host.CPU, Device: mkDev(), MaxInstructions: instr})
+		m := reuseMachine(&slot, core.Config{CPU: host.CPU, Device: mkDev(), MaxInstructions: instr})
 		if pl, ok := w.(workload.Preloader); ok {
 			for _, obj := range pl.PreloadObjects() {
 				m.Preload(obj.Base, obj.Size)

@@ -231,18 +231,22 @@ func deriveSeed(workloadName, configName string, base uint64) uint64 {
 //
 // RunCtx, RunAll, SlowdownCtx and SlowdownsCtx are the Runner's API.
 func (r *Runner) RunCtx(ctx context.Context, req RunRequest) (Result, error) {
-	res, _, err := r.runCtx(ctx, req)
+	var slot *core.Machine
+	res, _, err := r.runCtx(ctx, req, &slot)
 	return res, err
 }
 
 // runCtx is RunCtx plus the cache outcome, which telemetry and the
-// worker-span instrumentation consume.
-func (r *Runner) runCtx(ctx context.Context, req RunRequest) (Result, cacheOutcome, error) {
+// worker-span instrumentation consume. slot is the caller's machine,
+// reused if this call computes the cell (see reuseMachine); the
+// computing caller is always the one running this function, so no two
+// cells share a slot.
+func (r *Runner) runCtx(ctx context.Context, req RunRequest, slot **core.Machine) (Result, cacheOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, cacheHit, err
 	}
 	res, oc, err := r.cache.get(ctx, r.key(req.Spec, req.Config), func() Result {
-		return r.runOnce(req)
+		return r.runOnce(req, slot)
 	})
 	if err == nil {
 		r.Obs.countCache(oc)
@@ -258,7 +262,10 @@ func (r *Runner) RunAll(ctx context.Context, reqs []RunRequest) ([]Result, error
 }
 
 // runAll fans reqs out over min(workers, len(reqs)) goroutines; onDone
-// (optional) observes completions for progress reporting.
+// (optional) observes completions for progress reporting. Each worker
+// (and the serial loop) keeps one core.Machine for the whole batch and
+// Resets it per cell instead of allocating fresh cache metadata; the
+// machine dies with the batch.
 //
 // When ctx carries a request-plane span (a traced job submission), each
 // completed cell is additionally reported post-completion as a "cell"
@@ -274,13 +281,14 @@ func (r *Runner) runAll(ctx context.Context, reqs []RunRequest, onDone func()) (
 		workers = len(reqs)
 	}
 	if workers <= 1 {
+		var slot *core.Machine
 		for i, req := range reqs {
 			sp := r.Obs.cellSpan(0, req)
 			var t0 time.Time
 			if parent != nil {
 				t0 = time.Now()
 			}
-			res, oc, err := r.runCtx(ctx, req)
+			res, oc, err := r.runCtx(ctx, req, &slot)
 			endCellSpan(sp, oc)
 			if err != nil {
 				return nil, err
@@ -304,13 +312,14 @@ func (r *Runner) runAll(ctx context.Context, reqs []RunRequest, onDone func()) (
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			var slot *core.Machine
 			for i := range next {
 				sp := r.Obs.cellSpan(worker, reqs[i])
 				var t0 time.Time
 				if parent != nil {
 					t0 = time.Now()
 				}
-				res, oc, err := r.runCtx(ctx, reqs[i])
+				res, oc, err := r.runCtx(ctx, reqs[i], &slot)
 				endCellSpan(sp, oc)
 				if err != nil {
 					errMu.Lock()
@@ -362,7 +371,19 @@ func (r *Runner) buildDevice(mc MemConfig, seed uint64) mem.Device {
 	return mc.Build(seed)
 }
 
-func (r *Runner) runOnce(req RunRequest) Result {
+// reuseMachine returns the machine in *slot Reset for cfg, building it
+// on first use. A reset machine is indistinguishable from a new one, so
+// results do not depend on which cells the slot's owner ran before.
+func reuseMachine(slot **core.Machine, cfg core.Config) *core.Machine {
+	if *slot == nil {
+		*slot = core.New(cfg)
+	} else {
+		(*slot).Reset(cfg)
+	}
+	return *slot
+}
+
+func (r *Runner) runOnce(req RunRequest, slot **core.Machine) Result {
 	spec, mc := req.Spec, req.Config
 	cell := deriveSeed(spec.Name, mc.Name, r.Seed)
 	stream := deriveSeed(spec.Name, "", r.Seed)
@@ -409,7 +430,7 @@ func (r *Runner) runOnce(req RunRequest) Result {
 		cfg.Sampler = smp
 		cfg.SampleEveryCycles = r.SampleEveryCycles
 	}
-	m := core.New(cfg)
+	m := reuseMachine(slot, cfg)
 	if syn, ok := w.(*workload.Synthetic); ok {
 		m.SetRegions(syn.Arena().Objects())
 	}

@@ -72,3 +72,17 @@ func TestNewTimeHeapAllFree(t *testing.T) {
 		t.Fatalf("Min = %v, want 0", h.Min())
 	}
 }
+
+func TestTimeHeapResetEmpties(t *testing.T) {
+	h := NewTimeHeap(3)
+	h.Push(7)
+	h.Reset()
+	if h.Len() != 0 {
+		t.Fatalf("Len after Reset = %d, want 0", h.Len())
+	}
+	h.Push(4)
+	h.Push(2)
+	if got := h.PopMin(); got != 2 || h.Len() != 1 {
+		t.Fatalf("PopMin after Reset = %v (Len %d), want 2 (Len 1)", got, h.Len())
+	}
+}
