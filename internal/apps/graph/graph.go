@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/moatlab/melody/internal/apps/appcache"
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/sim"
 	"github.com/moatlab/melody/internal/vm"
@@ -160,24 +161,23 @@ func Build(name string, n uint32, degree int, seed uint64) *Graph {
 	return g
 }
 
-// Graphs are expensive to build, so instances are cached per
-// (name, scale) for the life of the process. Addresses are
-// deterministic, so sharing across runs is safe.
+// Graphs are expensive to build, so instances are cached per name for
+// the life of the process. Addresses are deterministic, so sharing
+// across runs is safe. A build holds hundreds of MB of scratch, so
+// graphs build one at a time; a built graph is returned without
+// waiting for another's build.
 var (
-	cacheMu sync.Mutex
-	cache   = map[string]*Graph{}
+	graphs  appcache.Cache[string, *Graph]
+	buildMu sync.Mutex
 )
 
 // Get returns the cached default-scale instance of the named graph.
 func Get(name string) *Graph {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if g, ok := cache[name]; ok {
-		return g
-	}
-	g := Build(name, DefaultNodes, DefaultDegree, 0x6a09e667f3bcc908)
-	cache[name] = g
-	return g
+	return graphs.Get(name, func() *Graph {
+		buildMu.Lock()
+		defer buildMu.Unlock()
+		return Build(name, DefaultNodes, DefaultDegree, 0x6a09e667f3bcc908)
+	})
 }
 
 // loadOffsets reads offsets[u] and offsets[u+1] through the machine.

@@ -7,6 +7,7 @@
 package kvstore
 
 import (
+	"github.com/moatlab/melody/internal/apps/appcache"
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/vm"
@@ -40,20 +41,47 @@ type slot struct {
 	valAddr uint64
 }
 
-// Store is the functional KV store bound to simulated memory.
+// Store is the functional KV store bound to simulated memory. The
+// populated table is built once per (Keys, ValueSize) and shared
+// read-only by every store of that shape; a store's own writes go to
+// its overlay, which every slot read consults first.
 type Store struct {
 	cfg     Config
 	arena   *vm.Arena
 	table   vm.Object
 	values  vm.Object
-	slots   []slot
+	base    []slot          // shared post-load table; never written
+	over    map[uint64]slot // slots this store wrote, by index
 	nSlots  uint64
 	logHead uint64
 }
 
-// NewStore builds and populates a store (population is instantaneous —
-// it happens before the measured run, like YCSB's load phase).
+// loaded is the state the load phase leaves behind.
+type loaded struct {
+	slots   []slot
+	logHead uint64
+}
+
+type shape struct{ keys, valueSize uint64 }
+
+// bases holds each shape's populated table while a run is open: a
+// rebuild costs tens of milliseconds, so an idle process need not keep
+// tens of MB.
+var bases = appcache.RunScoped[shape, loaded]()
+
+// NewStore builds a populated store (population is instantaneous — it
+// happens before the measured run, like YCSB's load phase).
 func NewStore(cfg Config) *Store {
+	s := layout(cfg)
+	b := bases.Get(shape{cfg.Keys, cfg.ValueSize}, func() loaded { return populate(cfg) })
+	s.base, s.logHead = b.slots, b.logHead
+	s.over = map[uint64]slot{}
+	return s
+}
+
+// layout allocates an empty store's objects; their addresses depend
+// only on Keys and ValueSize.
+func layout(cfg Config) *Store {
 	nSlots := uint64(1)
 	for nSlots < cfg.Keys*2 {
 		nSlots <<= 1
@@ -62,11 +90,18 @@ func NewStore(cfg Config) *Store {
 	s.arena = vm.New(4 << 30)
 	s.table = s.arena.Alloc("hashtable", nSlots*16)
 	s.values = s.arena.Alloc("valuelog", (cfg.Keys+cfg.Keys/4)*cfg.ValueSize)
-	s.slots = make([]slot, nSlots)
-	for k := uint64(1); k <= cfg.Keys; k++ {
-		s.insert(k, s.allocValue())
-	}
 	return s
+}
+
+// populate runs the load phase on a private table: keys 1..Keys in
+// order, each given the next value-log slot.
+func populate(cfg Config) loaded {
+	s := layout(cfg)
+	s.base = make([]slot, s.nSlots)
+	for k := uint64(1); k <= cfg.Keys; k++ {
+		s.base[s.probe(k)] = slot{key: k, valAddr: s.allocValue()}
+	}
+	return loaded{slots: s.base, logHead: s.logHead}
 }
 
 // Arena exposes the store's objects for placement experiments.
@@ -78,6 +113,14 @@ func (s *Store) allocValue() uint64 {
 	return addr
 }
 
+// slot reads slot h through the overlay.
+func (s *Store) slot(h uint64) slot {
+	if sl, ok := s.over[h]; ok {
+		return sl
+	}
+	return s.base[h]
+}
+
 func hashKey(k uint64) uint64 {
 	k ^= k >> 33
 	k *= 0xff51afd7ed558ccd
@@ -85,13 +128,19 @@ func hashKey(k uint64) uint64 {
 	return k
 }
 
-// insert adds a key without simulation (load phase only).
-func (s *Store) insert(key, valAddr uint64) {
+// probe returns the index of key's slot, or of the empty slot it
+// would take, without simulation.
+func (s *Store) probe(key uint64) uint64 {
 	h := hashKey(key) & (s.nSlots - 1)
-	for s.slots[h].key != 0 && s.slots[h].key != key {
+	for sl := s.slot(h); sl.key != 0 && sl.key != key; sl = s.slot(h) {
 		h = (h + 1) & (s.nSlots - 1)
 	}
-	s.slots[h] = slot{key: key, valAddr: valAddr}
+	return h
+}
+
+// insert adds a key without simulation (YCSB inserts' index update).
+func (s *Store) insert(key, valAddr uint64) {
+	s.over[s.probe(key)] = slot{key: key, valAddr: valAddr}
 }
 
 func (s *Store) slotAddr(h uint64) uint64 { return s.table.Base + h*16 }
@@ -105,7 +154,7 @@ func (s *Store) lookup(m *core.Machine, key uint64) (idx uint64, found bool) {
 		// collisions, on having read the previous slot: dependent.
 		m.Load(s.slotAddr(h), true)
 		m.Compute(6)
-		sl := s.slots[h]
+		sl := s.slot(h)
 		if sl.key == key {
 			return h, true
 		}
@@ -123,7 +172,7 @@ func (s *Store) Get(m *core.Machine, key uint64) bool {
 	if !ok {
 		return false
 	}
-	addr := s.slots[idx].valAddr
+	addr := s.slot(idx).valAddr
 	lines := (s.cfg.ValueSize + mem.LineSize - 1) / mem.LineSize
 	for i := uint64(0); i < lines; i++ {
 		// First line is pointer-dependent on the slot; the rest stream.
@@ -143,7 +192,7 @@ func (s *Store) Set(m *core.Machine, key uint64) {
 	for i := uint64(0); i < lines; i++ {
 		m.Store(addr + i*mem.LineSize)
 	}
-	s.slots[idx] = slot{key: key, valAddr: addr}
+	s.over[idx] = slot{key: key, valAddr: addr}
 	m.Store(s.slotAddr(idx))
 	m.Compute(lines * 3)
 }

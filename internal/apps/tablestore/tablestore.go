@@ -7,6 +7,7 @@
 package tablestore
 
 import (
+	"github.com/moatlab/melody/internal/apps/appcache"
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/sim"
@@ -37,22 +38,35 @@ type Table struct {
 	rows  vm.Object // row pages
 	log   vm.Object // redo log
 
-	keys    []uint64 // sorted (dense keys: 1..Rows; kept explicit for realism)
+	// keys is the sorted primary index (dense keys 1..Rows, kept
+	// explicit for realism), shared read-only by every table of the
+	// same Rows; never written.
+	keys    []uint64
 	logHead uint64
 }
 
-// NewTable builds and populates the table.
+// indexes holds each row count's populated primary index while a run
+// is open.
+var indexes = appcache.RunScoped[uint64, []uint64]()
+
+// NewTable builds a populated table.
 func NewTable(cfg Config) *Table {
 	t := &Table{cfg: cfg}
 	t.arena = vm.New(8 << 30)
 	t.index = t.arena.Alloc("index", cfg.Rows*8)
 	t.rows = t.arena.Alloc("rows", cfg.Rows*cfg.RowSize)
 	t.log = t.arena.Alloc("redolog", 256<<20)
-	t.keys = make([]uint64, cfg.Rows)
-	for i := range t.keys {
-		t.keys[i] = uint64(i) + 1
-	}
+	t.keys = indexes.Get(cfg.Rows, func() []uint64 { return sortedKeys(cfg.Rows) })
 	return t
+}
+
+// sortedKeys returns the populated index of a table of n rows.
+func sortedKeys(n uint64) []uint64 {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+	}
+	return keys
 }
 
 // Arena exposes the table's objects.

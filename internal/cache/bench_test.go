@@ -39,3 +39,59 @@ func BenchmarkCachePreloadInserts(b *testing.B) {
 		}
 	})
 }
+
+// The access rungs time one Probe, Peek or Insert on a full cache of
+// each EMR2S level's geometry (ways as core.Machine builds them), over
+// pseudo-random lines drawn from twice its capacity, so about half hit.
+var benchLevels = []struct {
+	name  string
+	bytes uint64
+	ways  int
+}{
+	{"L1", 48 << 10, 8},
+	{"L2", 2 << 20, 16},
+	{"LLC", benchLLCBytes, benchLLCWays},
+}
+
+// entrySink keeps benchmarked lookups from being optimized away.
+var entrySink int
+
+func benchAccess(b *testing.B, op func(c *Cache, addr uint64) int) {
+	for _, l := range benchLevels {
+		b.Run(l.name, func(b *testing.B) {
+			c := New(l.bytes, l.ways)
+			n := uint64(c.Sets() * c.Ways())
+			c.Fill(0, n)
+			addrs := make([]uint64, 1<<16)
+			x := uint64(0x9e3779b97f4a7c15)
+			for i := range addrs {
+				x ^= x << 13
+				x ^= x >> 7
+				x ^= x << 17
+				addrs[i] = x % (2 * n) * mem.LineSize
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				entrySink = op(c, addrs[i&(len(addrs)-1)])
+			}
+		})
+	}
+}
+
+func BenchmarkCacheProbe(b *testing.B) {
+	benchAccess(b, func(c *Cache, addr uint64) int { e, _ := c.Probe(addr); return e })
+}
+
+func BenchmarkCachePeek(b *testing.B) {
+	benchAccess(b, func(c *Cache, addr uint64) int { e, _ := c.Peek(addr); return e })
+}
+
+func BenchmarkCacheInsert(b *testing.B) {
+	benchAccess(b, func(c *Cache, addr uint64) int {
+		if c.Insert(addr, 0, false).Evicted {
+			return 1
+		}
+		return 0
+	})
+}

@@ -7,6 +7,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"github.com/moatlab/melody/internal/apps/appcache"
 	"github.com/moatlab/melody/internal/melody/spec"
 	"github.com/moatlab/melody/internal/obs/svclog"
 	"github.com/moatlab/melody/internal/obs/tracespan"
@@ -105,6 +106,9 @@ func Execute(ctx context.Context, sp spec.RunSpec, h ExecHooks) (ExecOutcome, er
 		return ExecOutcome{}, err
 	}
 	RegisterWorkloads()
+	// App state shared across this run's cells (kvstore tables,
+	// tablestore indexes) is dropped when the last open run ends.
+	defer appcache.StartRun()()
 
 	log := h.Log
 	if log == nil {

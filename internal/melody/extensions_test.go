@@ -54,6 +54,17 @@ func TestTieringBetweenEndpoints(t *testing.T) {
 	}
 }
 
+func TestTieringReportDeterministic(t *testing.T) {
+	// Pages tied on score must not rank in map order, or the migration
+	// set, and with it every IPC, changes between runs.
+	render := func() string {
+		return strings.Join(TieringExp(testCtx(Options{Seed: 1, Instructions: 700_000})).Lines, "\n")
+	}
+	if a, b := render(), render(); a != b {
+		t.Fatalf("two tiering runs at seed 1 differ:\n%s\n---\n%s", a, b)
+	}
+}
+
 // lastField parses the trailing float on a report line.
 func lastField(t *testing.T, line string) float64 {
 	t.Helper()

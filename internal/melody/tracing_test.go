@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/moatlab/melody/internal/apps/appcache"
 	"github.com/moatlab/melody/internal/melody/spec"
 	"github.com/moatlab/melody/internal/obs/tracespan"
 	"github.com/moatlab/melody/internal/workload"
@@ -167,5 +168,21 @@ func BenchmarkUntracedCellOverhead(b *testing.B) {
 			t0 = time.Now()
 		}
 		cellChild(parent, 0, req, t0, cacheHit)
+	}
+}
+
+// TestExecuteDropsRunScopedAppState checks that Execute opens and ends
+// an app-state run: run-scoped state built before it (like the kvstore
+// and tablestore bases) does not outlive it.
+func TestExecuteDropsRunScopedAppState(t *testing.T) {
+	c := appcache.RunScoped[int, *int]()
+	before := c.Get(0, func() *int { return new(int) })
+	sp := tracingSpec()
+	sp.Experiments = []string{"table2"}
+	if _, err := Execute(context.Background(), sp, ExecHooks{}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Get(0, func() *int { return new(int) }) == before {
+		t.Fatal("run-scoped state built before Execute survived it")
 	}
 }

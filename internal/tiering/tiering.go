@@ -163,26 +163,41 @@ func (t *TieredDevice) Access(now float64, addr uint64, kind mem.Kind) float64 {
 	return done
 }
 
-// rebalance promotes the top-ranked pages into the fast tier (demoting
-// as needed) and decays history so the policy tracks phase changes.
-func (t *TieredDevice) rebalance(now float64) {
-	t.epochs++
+// score is a page's promotion value under the configured policy.
+func (t *TieredDevice) score(ps *pageStat) float64 {
+	if t.cfg.Policy == PolicySpa {
+		return ps.stallNs
+	}
+	return float64(ps.count)
+}
+
+// rank orders the tracked pages by descending score, ties by ascending
+// page number, so the order never depends on map iteration.
+func (t *TieredDevice) rank() []*pageStat {
 	ranked := make([]*pageStat, 0, len(t.pages))
 	for _, ps := range t.pages {
 		ranked = append(ranked, ps)
 	}
-	score := func(ps *pageStat) float64 {
-		if t.cfg.Policy == PolicySpa {
-			return ps.stallNs
+	sort.Slice(ranked, func(i, j int) bool {
+		si, sj := t.score(ranked[i]), t.score(ranked[j])
+		if si != sj {
+			return si > sj
 		}
-		return float64(ps.count)
-	}
-	sort.Slice(ranked, func(i, j int) bool { return score(ranked[i]) > score(ranked[j]) })
+		return ranked[i].page < ranked[j].page
+	})
+	return ranked
+}
+
+// rebalance promotes the top-ranked pages into the fast tier (demoting
+// as needed) and decays history so the policy tracks phase changes.
+func (t *TieredDevice) rebalance(now float64) {
+	t.epochs++
+	ranked := t.rank()
 
 	// Desired fast set: the top FastPages by score.
 	want := map[uint64]bool{}
 	for i := 0; i < len(ranked) && i < t.cfg.FastPages; i++ {
-		if score(ranked[i]) > 0 {
+		if t.score(ranked[i]) > 0 {
 			want[ranked[i].page] = true
 		}
 	}

@@ -183,3 +183,46 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}()
 	New(&fixedDev{}, &fixedDev{}, Config{})
 }
+
+func TestRankBreaksTiesByPage(t *testing.T) {
+	for _, policy := range []Policy{PolicyAccessCount, PolicySpa} {
+		cfg := testConfig()
+		cfg.Policy = policy
+		cfg.EpochAccesses = 1 << 40 // rank by hand, never in Access
+		td := New(&fixedDev{lat: 100}, &fixedDev{lat: 100}, cfg)
+		// 300 pages with one access each and 10 hot pages with three:
+		// two tied groups.
+		for p := uint64(0); p < 300; p++ {
+			td.Access(0, (p*7919%1000)*pageBytes, mem.DemandRead)
+		}
+		for p := uint64(0); p < 10; p++ {
+			for i := 0; i < 2; i++ {
+				td.Access(0, (p*7919%1000)*pageBytes, mem.DemandRead)
+			}
+		}
+		pages := func() []uint64 {
+			var out []uint64
+			for _, ps := range td.rank() {
+				out = append(out, ps.page)
+			}
+			return out
+		}
+		first := pages()
+		for i, p := range first {
+			if i == 10 || i == 0 {
+				continue
+			}
+			if p < first[i-1] {
+				t.Fatalf("%v: rank %d has page %d after page %d in a tie", policy, i, p, first[i-1])
+			}
+		}
+		for try := 0; try < 5; try++ {
+			again := pages()
+			for i := range first {
+				if again[i] != first[i] {
+					t.Fatalf("%v: rank %d is page %d, then page %d", policy, i, first[i], again[i])
+				}
+			}
+		}
+	}
+}
